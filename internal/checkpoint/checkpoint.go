@@ -1,8 +1,9 @@
 package checkpoint
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mafic/internal/baseline"
 	"mafic/internal/core"
@@ -19,6 +20,11 @@ import (
 // boundary. The experiment package fills it in (avoiding an import cycle —
 // this package knows the stateful engine packages, the experiment package
 // knows this one).
+//
+// A run keeps one World for all its checkpoints: the first Capture or
+// Restore builds the handler registry and caches it here, so the component
+// fields must not be replaced afterwards. Only Flags changes between
+// captures.
 type World struct {
 	Sched       *sim.Scheduler
 	RNG         *sim.RNG // the run's root stream; the fork registry hangs off it
@@ -39,6 +45,10 @@ type World struct {
 	// Flags carries the run-level bookkeeping the activation callback has
 	// written into the result so far.
 	Flags RunFlags
+
+	// reg is the handler registry, built by the first Capture or Restore and
+	// kept for the rest of the run; see registry.
+	reg *registry
 }
 
 // RunFlags is the run-level activation bookkeeping that lives in the result
@@ -167,10 +177,65 @@ type handlerRole struct {
 	index uint32
 }
 
+// registry indexes every object runtime events can dispatch through, keyed
+// by the exact interface value the scheduler holds, plus the links in
+// Network.ForEachLink order (the index space of link events and of
+// Snapshot.Links). Links are created only by Network.Connect while the
+// topology is built and flows only by traffic.BuildWorkload, so the registry
+// is built once per run and every later Capture or Restore of the same World
+// reuses it.
+type registry struct {
+	handlers map[any]handlerRole
+	links    []*netsim.Link
+}
+
+// registry returns the World's handler registry, building it on first use.
+// A link count that no longer matches the cached list means the network
+// changed after all; the registry is then rebuilt rather than trusted.
+func (w *World) registry() *registry {
+	if w.reg != nil && len(w.reg.links) == w.Net.LinkTotal() {
+		return w.reg
+	}
+	n := w.Net.LinkTotal()
+	// At most three handlers per flow (send, phase, phase end), two per
+	// defender and the monitor.
+	size := n + 3*len(w.Workload.Flows) + 2*len(w.MAFIC) + 1
+	reg := &registry{
+		handlers: make(map[any]handlerRole, size),
+		links:    make([]*netsim.Link, 0, n),
+	}
+	w.Net.ForEachLink(func(l *netsim.Link) {
+		reg.handlers[l] = handlerRole{kind: EvLinkTx, index: uint32(len(reg.links))}
+		reg.links = append(reg.links, l)
+	})
+	for i, f := range w.Workload.Flows {
+		if h := traffic.SendHandler(f); h != nil {
+			reg.handlers[h] = handlerRole{kind: EvFlowSend, index: uint32(i)}
+		}
+		if ph, eh := traffic.PhaseHandlers(f); ph != nil {
+			reg.handlers[ph] = handlerRole{kind: EvFlowPhase, index: uint32(i)}
+			reg.handlers[eh] = handlerRole{kind: EvFlowEnd, index: uint32(i)}
+		}
+	}
+	if w.Monitor != nil {
+		reg.handlers[w.Monitor] = handlerRole{kind: EvMonitorTick}
+	}
+	for i, d := range w.MAFIC {
+		ps, we := d.ProbeHandlers()
+		reg.handlers[ps] = handlerRole{kind: EvProbeSend, index: uint32(i)}
+		reg.handlers[we] = handlerRole{kind: EvWindowEnd, index: uint32(i)}
+	}
+	w.reg = reg
+	return reg
+}
+
 // Capture walks the live run and assembles a Snapshot. scenarioJSON is the
 // serialized Scenario the resume path will rebuild from. The run must be
 // paused at an event boundary (between RunUntil calls); Capture only reads.
+// A run that checkpoints repeatedly passes the same World every time, so the
+// handler registry is built once and each capture only copies state.
 func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
+	reg := w.registry()
 	snap := &Snapshot{
 		Scenario:  scenarioJSON,
 		BuildSeq:  w.BuildSeq,
@@ -178,37 +243,15 @@ func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
 		NextSeq:   w.Sched.Seq(),
 		Processed: w.Sched.Processed(),
 		Flags:     w.Flags,
+		Streams:   make([]StreamState, w.RNG.StreamCount()),
+		Events:    make([]EventState, 0, w.Sched.Len()),
+		Links:     make([]netsim.LinkState, len(reg.links)),
+		Nodes:     make([]NodeState, 0, w.Net.NodeCount()),
 	}
 
-	for i := 0; i < w.RNG.StreamCount(); i++ {
+	for i := range snap.Streams {
 		seed, draws := w.RNG.StreamState(i)
-		snap.Streams = append(snap.Streams, StreamState{Seed: seed, Draws: draws})
-	}
-
-	// Handler identity registry: every object runtime events can dispatch
-	// through, keyed by the exact interface value the scheduler holds.
-	handlers := make(map[any]handlerRole)
-	links := make([]*netsim.Link, 0, w.Net.LinkTotal())
-	w.Net.ForEachLink(func(l *netsim.Link) {
-		handlers[l] = handlerRole{kind: EvLinkTx, index: uint32(len(links))}
-		links = append(links, l)
-	})
-	for i, f := range w.Workload.Flows {
-		if h := traffic.SendHandler(f); h != nil {
-			handlers[h] = handlerRole{kind: EvFlowSend, index: uint32(i)}
-		}
-		if ph, eh := traffic.PhaseHandlers(f); ph != nil {
-			handlers[ph] = handlerRole{kind: EvFlowPhase, index: uint32(i)}
-			handlers[eh] = handlerRole{kind: EvFlowEnd, index: uint32(i)}
-		}
-	}
-	if w.Monitor != nil {
-		handlers[w.Monitor] = handlerRole{kind: EvMonitorTick}
-	}
-	for i, d := range w.MAFIC {
-		ps, we := d.ProbeHandlers()
-		handlers[ps] = handlerRole{kind: EvProbeSend, index: uint32(i)}
-		handlers[we] = handlerRole{kind: EvWindowEnd, index: uint32(i)}
+		snap.Streams[i] = StreamState{Seed: seed, Draws: draws}
 	}
 
 	probeIdx := make(map[any]uint32)
@@ -229,7 +272,7 @@ func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
 		if key == nil {
 			key = ev.ArgH
 		}
-		role, ok := handlers[key]
+		role, ok := reg.handlers[key]
 		if !ok {
 			captureErr = fmt.Errorf("checkpoint: runtime event %d at %v has unrecognised handler %T", ev.Seq, ev.At, key)
 			return
@@ -276,10 +319,10 @@ func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
 	if captureErr != nil {
 		return nil, captureErr
 	}
-	sort.Slice(snap.Events, func(i, j int) bool { return snap.Events[i].Seq < snap.Events[j].Seq })
+	slices.SortFunc(snap.Events, func(a, b EventState) int { return cmp.Compare(a.Seq, b.Seq) })
 
-	for _, l := range links {
-		snap.Links = append(snap.Links, l.CheckpointState())
+	for i, l := range reg.links {
+		snap.Links[i] = l.CheckpointState()
 	}
 	w.Net.ForEachNode(func(id netsim.NodeID, r *netsim.Router, h *netsim.Host) {
 		ns := NodeState{ID: id}
@@ -306,23 +349,27 @@ func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
 	switch {
 	case len(w.MAFIC) > 0:
 		snap.DefKind = DefMAFIC
-		for _, d := range w.MAFIC {
-			snap.Defenders = append(snap.Defenders, d.CheckpointState())
+		snap.Defenders = make([]core.DefenderState, len(w.MAFIC))
+		for i, d := range w.MAFIC {
+			snap.Defenders[i] = d.CheckpointState()
 		}
 	case len(w.Baseline) > 0:
 		snap.DefKind = DefBaseline
-		for _, d := range w.Baseline {
-			snap.Droppers = append(snap.Droppers, d.CheckpointState())
+		snap.Droppers = make([]baseline.DropperState, len(w.Baseline))
+		for i, d := range w.Baseline {
+			snap.Droppers[i] = d.CheckpointState()
 		}
 	}
 
-	for _, f := range w.Workload.Flows {
+	snap.Flows = make([]traffic.FlowState, len(w.Workload.Flows))
+	for i, f := range w.Workload.Flows {
 		fs, err := traffic.CaptureFlowState(f)
 		if err != nil {
 			return nil, err
 		}
-		snap.Flows = append(snap.Flows, fs)
+		snap.Flows[i] = fs
 	}
+	snap.Victims = make([]traffic.VictimServerState, 0, 1+len(w.Workload.ExtraServers))
 	snap.Victims = append(snap.Victims, w.Workload.Victim.CheckpointState())
 	for _, v := range w.Workload.ExtraServers {
 		snap.Victims = append(snap.Victims, v.CheckpointState())
@@ -351,8 +398,7 @@ func Restore(w *World, snap *Snapshot) error {
 		}
 	}
 
-	links := make([]*netsim.Link, 0, w.Net.LinkTotal())
-	w.Net.ForEachLink(func(l *netsim.Link) { links = append(links, l) })
+	links := w.registry().links
 	if len(links) != len(snap.Links) {
 		return fmt.Errorf("checkpoint: rebuild has %d links, snapshot recorded %d", len(links), len(snap.Links))
 	}

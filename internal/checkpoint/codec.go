@@ -13,9 +13,11 @@ import (
 	"mafic/internal/trafficmatrix"
 )
 
-// Encode serializes a snapshot into the sectioned wire format.
+// Encode serializes a snapshot into the sectioned wire format. The buffer is
+// allocated once at its exact final size (encodedSize), so a multi-megabyte
+// snapshot is written without regrowth.
 func Encode(snap *Snapshot) []byte {
-	w := &writer{b: make([]byte, 0, 4096)}
+	w := &writer{b: make([]byte, 0, encodedSize(snap))}
 	w.b = append(w.b, snapshotMagic[:]...)
 	w.u32(SnapshotVersion)
 
@@ -213,6 +215,99 @@ func Encode(snap *Snapshot) []byte {
 	})
 
 	return w.b
+}
+
+// Encoded sizes, in bytes, of the fixed-layout records Encode writes.
+const (
+	sectionHeaderSize = 1 + 4 // kind u8 | length u32
+	labelSize         = 4 + 4 + 2 + 2
+	streamSize        = 8 + 8
+	probeRecSize      = 4 + 1 + 8 + labelSize + 8 + 8
+	linkSize          = 8 + 8 + 1 + 8 + 8 + 8
+	routerNodeSize    = 8 + 1 + 1 + 3*8
+	hostNodeSize      = 8 + 1 + 2*8
+	countsSize        = 15 * 8
+	binSize           = 4 * 8
+	dropperSize       = 1 + 4 + 3*8
+	flowSize          = 3 + 12*8
+	victimSize        = 4 * 8
+	entrySize         = 8 + 8 + 4 + 4*8 + 4*8
+	eventHeaderSize   = 8 + 8 + 1
+	packetSize        = 8 + labelSize + 4 + 4 + 5*8 + 1
+)
+
+// encodedSize returns the exact length of Encode(snap), so Encode can
+// allocate its buffer once. It mirrors Encode field by field; the registry
+// equivalence test in the experiment package pins that the two agree on
+// every snapshot it takes of the catalog scenarios.
+func encodedSize(snap *Snapshot) int {
+	n := len(snapshotMagic) + 4 + 15*sectionHeaderSize
+	n += 4 + len(snap.Scenario)
+	n += 4 * 8 // clock
+	n += 4 + streamSize*len(snap.Streams)
+	n += 4
+	for i := range snap.Events {
+		n += eventSize(&snap.Events[i])
+	}
+	n += 4 + probeRecSize*len(snap.ProbeRecs)
+	n += 4 + linkSize*len(snap.Links)
+	n += 4
+	for i := range snap.Nodes {
+		if snap.Nodes[i].Router {
+			n += routerNodeSize
+		} else {
+			n += hostNodeSize
+		}
+	}
+	n += 3*8 + 4 + 8*len(snap.Network.RouteDests)
+	n += 8 + 8 + 1 + 1 + 4
+	for i := range snap.Monitor.Counters {
+		c := &snap.Monitor.Counters[i]
+		n += pairSize(c.Source) + pairSize(c.Dest) + 3*8
+	}
+	co := &snap.Coordinator
+	n += 4 + 8*len(co.History) + 4 + len(co.HistoryOK) + 8 + 4 + 8*len(co.ATRScore) +
+		4 + len(co.IdentifiedATR) + 8 + 1 + 8 + 8 + 8 + 8 + 8 + 8 + 1
+	n += 1 + 8 + countsSize + 4 + binSize*len(snap.Collector.Bins)
+	n++ // defender kind
+	switch snap.DefKind {
+	case DefMAFIC:
+		n += 4
+		for i := range snap.Defenders {
+			d := &snap.Defenders[i]
+			n += 1 + 4 + 13*8 + 8 +
+				4 + (8+2)*len(d.ProbeMemory) +
+				4 + entrySize*len(d.Tables.Entries) +
+				8 + 4 + 8*len(d.Tables.Transitions)
+		}
+	case DefBaseline:
+		n += 4 + dropperSize*len(snap.Droppers)
+	}
+	n += 4 + flowSize*len(snap.Flows)
+	n += 4 + victimSize*len(snap.Victims)
+	n += 1 + 8 + 1 + 8 // flags
+	return n
+}
+
+func pairSize(p loglog.PairState) int {
+	return 2*(4+8) + len(p.Active.Buckets) + len(p.Shadow.Buckets)
+}
+
+func eventSize(ev *EventState) int {
+	n := eventHeaderSize
+	switch ev.Kind {
+	case EvLinkTx, EvFlowSend, EvFlowPhase, EvFlowEnd:
+		n += 4
+	case EvLinkArrive:
+		n += 4 + packetSize
+	case EvMonitorLate:
+		rep := &ev.Report
+		n += 3*8 + 4 + 8*len(rep.Routers) + 4 + 8*len(rep.SourceEst) +
+			4 + 8*len(rep.DestEst) + 4 + 3*8*len(rep.Matrix)
+	case EvProbeSend, EvWindowEnd:
+		n += 4 + 4
+	}
+	return n
 }
 
 func encodeLabel(w *writer, l netsim.FlowLabel) {

@@ -27,6 +27,16 @@
 // handler cannot be classified fails the capture loudly rather than
 // producing a snapshot that cannot resume.
 //
+// The registry's lifetime is the run. It is built by the first Capture or
+// Restore of a World and cached on it, together with the links in
+// Network.ForEachLink order. That is valid because links are created only by
+// Network.Connect while the topology is built and flows only by
+// traffic.BuildWorkload: nothing a registry indexes is added or replaced once
+// the run starts. A run therefore keeps one World for all its checkpoints and
+// only refreshes World.Flags before each capture, and a checkpoint costs only
+// the copying of state. As a guard, a link count that no longer matches the
+// cached list makes the registry rebuild.
+//
 // RNG streams are restored by fast-forward: the rebuild recreates every
 // stream with its original seed (verified), then each stream replays draws
 // until it reaches the checkpointed draw count (sim.RNG.FastForwardStream).

@@ -59,7 +59,7 @@ var fieldManifest = map[string][]string{
 	"checkpoint.RunFlags":       {"ATRCount", "Activated", "ActivationSeconds", "DetectedByPushback"},
 	"checkpoint.Snapshot":       {"BuildSeq", "Collector", "Coordinator", "DefKind", "Defenders", "Droppers", "Events", "Flags", "Flows", "Links", "Monitor", "Network", "NextSeq", "Nodes", "Now", "ProbeRecs", "Processed", "Scenario", "Streams", "Victims"},
 	"checkpoint.StreamState":    {"Draws", "Seed"},
-	"checkpoint.World":          {"Baseline", "BuildSeq", "Collector", "Coordinator", "Flags", "MAFIC", "Monitor", "Net", "RNG", "Sched", "Workload"},
+	"checkpoint.World":          {"Baseline", "BuildSeq", "Collector", "Coordinator", "Flags", "MAFIC", "Monitor", "Net", "RNG", "Sched", "Workload", "reg"},
 	"core.Defender":             {"active", "cfg", "observer", "probeChunks", "probeFree", "probeMemory", "probeSend", "probeSeqs", "rng", "router", "stats", "tables", "victimIP", "windowEnd"},
 	"core.Stats":                {"Dropped", "DroppedIllegal", "DroppedPDT", "DroppedProbing", "Examined", "FlowsCondemned", "FlowsIllegal", "FlowsNice", "FlowsProbed", "FlowsRepeatCondemned", "FlowsReprobed", "Forwarded", "ProbesSent"},
 	"core.probeRecord":          {"entry", "gen", "label", "next", "proto", "seq"},

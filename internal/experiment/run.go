@@ -109,6 +109,12 @@ type builtRun struct {
 	// see checkpoint.World.
 	buildSeq uint64
 	result   Result
+	// cw and scenarioJSON are the checkpoint bridge and the serialized
+	// scenario, made on the first snapshot or restore and reused by every
+	// later one: the world's handler registry and the scenario never change
+	// within a run.
+	cw           *checkpoint.World
+	scenarioJSON []byte
 }
 
 // Run executes one scenario and returns its metrics.
@@ -204,35 +210,44 @@ func RunFromSnapshot(data []byte) (Result, error) {
 	return ResumeControlled(data, ControlOptions{})
 }
 
-// world assembles the checkpoint bridge over the built run.
+// world returns the checkpoint bridge over the built run, assembling it on
+// first use. One World serves every snapshot and restore of the run, so the
+// checkpoint layer builds its handler registry once.
 func (b *builtRun) world() *checkpoint.World {
-	return &checkpoint.World{
-		Sched:       b.sched,
-		RNG:         b.rng,
-		Net:         b.domain.Net,
-		Workload:    b.workload,
-		Monitor:     b.monitor,
-		Coordinator: b.coordinator,
-		Collector:   b.collector,
-		MAFIC:       b.scratch.mafic,
-		Baseline:    b.scratch.droppers,
-		BuildSeq:    b.buildSeq,
-		Flags: checkpoint.RunFlags{
-			Activated:          b.result.Activated,
-			ActivationSeconds:  b.result.ActivationSeconds,
-			DetectedByPushback: b.result.DetectedByPushback,
-			ATRCount:           int64(b.result.ATRCount),
-		},
+	if b.cw == nil {
+		b.cw = &checkpoint.World{
+			Sched:       b.sched,
+			RNG:         b.rng,
+			Net:         b.domain.Net,
+			Workload:    b.workload,
+			Monitor:     b.monitor,
+			Coordinator: b.coordinator,
+			Collector:   b.collector,
+			MAFIC:       b.scratch.mafic,
+			Baseline:    b.scratch.droppers,
+			BuildSeq:    b.buildSeq,
+		}
 	}
+	return b.cw
 }
 
 // snapshot captures and encodes the run's current state.
 func (b *builtRun) snapshot() ([]byte, error) {
-	scenarioJSON, err := json.Marshal(b.s)
-	if err != nil {
-		return nil, fmt.Errorf("encode scenario: %w", err)
+	if b.scenarioJSON == nil {
+		data, err := json.Marshal(b.s)
+		if err != nil {
+			return nil, fmt.Errorf("encode scenario: %w", err)
+		}
+		b.scenarioJSON = data
 	}
-	snap, err := checkpoint.Capture(b.world(), scenarioJSON)
+	w := b.world()
+	w.Flags = checkpoint.RunFlags{
+		Activated:          b.result.Activated,
+		ActivationSeconds:  b.result.ActivationSeconds,
+		DetectedByPushback: b.result.DetectedByPushback,
+		ATRCount:           int64(b.result.ATRCount),
+	}
+	snap, err := checkpoint.Capture(w, b.scenarioJSON)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@ package flowtable
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TablesState is the dynamic state of one Tables: every tracked entry
@@ -19,13 +19,17 @@ type TablesState struct {
 // PDT, each ascending by label hash — so capture output does not depend on
 // map iteration order.
 func (t *Tables) ForEachEntry(fn func(e *Entry)) {
-	scratch := make([]uint64, 0, len(t.sft)+len(t.nft)+len(t.pdt))
+	n := t.tracked()
+	if n == 0 {
+		return
+	}
+	scratch := make([]uint64, 0, n)
 	for _, m := range [3]map[uint64]*Entry{t.sft, t.nft, t.pdt} {
 		hashes := scratch[:0]
 		for h := range m {
 			hashes = append(hashes, h)
 		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+		slices.Sort(hashes)
 		for _, h := range hashes {
 			fn(m[h])
 		}
@@ -33,13 +37,19 @@ func (t *Tables) ForEachEntry(fn func(e *Entry)) {
 	}
 }
 
+// tracked reports the number of entries across the three tables.
+func (t *Tables) tracked() int { return len(t.sft) + len(t.nft) + len(t.pdt) }
+
 // CheckpointState captures the tables' dynamic state.
 func (t *Tables) CheckpointState() TablesState {
 	st := TablesState{
 		Evictions:   t.evictions,
 		Transitions: t.transitions,
 	}
-	t.ForEachEntry(func(e *Entry) { st.Entries = append(st.Entries, *e) })
+	if n := t.tracked(); n > 0 {
+		st.Entries = make([]Entry, 0, n)
+		t.ForEachEntry(func(e *Entry) { st.Entries = append(st.Entries, *e) })
+	}
 	return st
 }
 

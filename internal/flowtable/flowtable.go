@@ -281,11 +281,17 @@ func (t *Tables) makeRoom(table map[uint64]*Entry) {
 }
 
 // Reset returns the tables to their just-constructed state: every entry is
-// flushed and the cumulative eviction and transition counters are zeroed.
-// Pools that recycle a Tables across owners use it so the next owner cannot
-// observe a previous run's statistics.
+// flushed, every slot's generation restarts at zero as in a fresh slab, and
+// the cumulative eviction and transition counters are zeroed. Pools that
+// recycle a Tables across owners use it so the next owner cannot observe a
+// previous run's statistics or generations; entry generations, and the
+// snapshots that carry them, then depend only on the current run. Restarting
+// is safe because no entry reference survives a change of owner.
 func (t *Tables) Reset() {
 	t.Flush()
+	for _, e := range t.free {
+		e.Gen = 0
+	}
 	t.evictions = 0
 	t.transitions = [statePermanentDropIdx + 1]uint64{}
 }

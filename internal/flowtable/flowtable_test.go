@@ -137,6 +137,28 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestGenerationsRestartOnReset pins the recycle guard's two halves: within
+// one owner's lifetime a flushed slot comes back with a bumped generation,
+// so stale references see the mismatch; after Reset (a new owner) every slot
+// starts again at generation zero, exactly like fresh tables.
+func TestGenerationsRestartOnReset(t *testing.T) {
+	tb := New(0)
+	e := tb.InsertSuspicious(1, 0, 10)
+	if e.Gen != 0 {
+		t.Fatalf("fresh entry has generation %d", e.Gen)
+	}
+	tb.Flush()
+	if e = tb.InsertSuspicious(2, 0, 10); e.Gen != 1 {
+		t.Fatalf("recycled entry has generation %d, want 1", e.Gen)
+	}
+	tb.Reset()
+	for h := uint64(1); h <= 3; h++ {
+		if e := tb.InsertSuspicious(h, 0, 10); e.Gen != 0 {
+			t.Fatalf("entry %d after Reset has generation %d, want 0", h, e.Gen)
+		}
+	}
+}
+
 func TestCapacityEviction(t *testing.T) {
 	tb := New(3)
 	tb.InsertSuspicious(1, 10, 100)

@@ -10,11 +10,14 @@ type SketchState struct {
 	Adds    uint64
 }
 
-// CheckpointState captures the sketch's dynamic state.
-func (s *Sketch) CheckpointState() SketchState {
-	st := SketchState{Buckets: make([]uint8, len(s.buckets)), Adds: s.adds}
+// checkpointState captures the sketch's dynamic state. The bucket copy is
+// carved off the front of buf, which must hold at least the sketch's bucket
+// count; the unused rest of buf is returned.
+func (s *Sketch) checkpointState(buf []uint8) (SketchState, []uint8) {
+	n := len(s.buckets)
+	st := SketchState{Buckets: buf[:n:n], Adds: s.adds}
 	copy(st.Buckets, s.buckets)
-	return st
+	return st, buf[n:]
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt sketch of the
@@ -39,9 +42,17 @@ type PairState struct {
 	Shadow SketchState
 }
 
-// CheckpointState captures both halves of the pair.
-func (p *Pair) CheckpointState() PairState {
-	return PairState{Active: p.active.CheckpointState(), Shadow: p.shadow.CheckpointState()}
+// StateBytes reports how many bucket bytes CheckpointState copies.
+func (p *Pair) StateBytes() int { return len(p.active.buckets) + len(p.shadow.buckets) }
+
+// CheckpointState captures both halves of the pair, carving their bucket
+// copies off the front of buf (at least StateBytes long) and returning the
+// unused rest.
+func (p *Pair) CheckpointState(buf []uint8) (PairState, []uint8) {
+	var st PairState
+	st.Active, buf = p.active.checkpointState(buf)
+	st.Shadow, buf = p.shadow.checkpointState(buf)
+	return st, buf
 }
 
 // RestoreState overlays captured state onto a rebuilt pair of the same

@@ -32,24 +32,29 @@ type MonitorState struct {
 	Counters   []CounterState
 }
 
-// CheckpointState captures the monitor's dynamic state.
+// CheckpointState captures the monitor's dynamic state. Every counter's
+// sketch buckets are copied into one shared buffer, so the capture costs two
+// allocations however many routers are monitored.
 func (m *Monitor) CheckpointState() MonitorState {
 	st := MonitorState{
 		EpochIndex: int64(m.epochIndex),
 		EpochStart: m.epochStart,
 		Stop:       m.stop,
 		Running:    m.running,
-		Counters:   make([]CounterState, 0, len(m.routerIDs)),
+		Counters:   make([]CounterState, len(m.routerIDs)),
 	}
+	size := 0
 	for _, id := range m.routerIDs {
 		c := m.counters[id]
-		st.Counters = append(st.Counters, CounterState{
-			Source:     c.source.CheckpointState(),
-			Dest:       c.dest.CheckpointState(),
-			SourcePkts: c.sourcePkts,
-			DestPkts:   c.destPkts,
-			Transit:    c.transit,
-		})
+		size += c.source.StateBytes() + c.dest.StateBytes()
+	}
+	buf := make([]uint8, size)
+	for i, id := range m.routerIDs {
+		c := m.counters[id]
+		rec := &st.Counters[i]
+		rec.Source, buf = c.source.CheckpointState(buf)
+		rec.Dest, buf = c.dest.CheckpointState(buf)
+		rec.SourcePkts, rec.DestPkts, rec.Transit = c.sourcePkts, c.destPkts, c.transit
 	}
 	return st
 }

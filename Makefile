@@ -17,8 +17,9 @@ vet:
 # package (examples included, so they cannot rot), and the whole test suite —
 # golden-run scenario regressions and fuzz seed corpora included — under the
 # race detector. The explicit -timeout covers the experiment package, whose
-# catalog-wide equivalence suites re-run every registered scenario several
-# ways and outgrew go test's default 10m budget under the race detector.
+# catalog-wide suites (goldens, kill-and-resume, buffer reuse, snapshot
+# checks) run every registered scenario several times over and can outgrow
+# go test's default 10m budget under the race detector.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...

@@ -89,7 +89,8 @@ type EventState struct {
 	// ingress order) for probe-cycle events.
 	Index uint32
 	// Probe is the probe-record table index for EvProbeSend / EvWindowEnd;
-	// the two events of one probe cycle share one record.
+	// the two events of one probe cycle share one record. Records are
+	// numbered in first-appearance order of the Seq-sorted events.
 	Probe uint32
 	// Packet is the in-flight payload of an EvLinkArrive event.
 	Packet netsim.PacketState
@@ -320,6 +321,7 @@ func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
 		return nil, captureErr
 	}
 	slices.SortFunc(snap.Events, func(a, b EventState) int { return cmp.Compare(a.Seq, b.Seq) })
+	renumberProbes(snap)
 
 	for i, l := range reg.links {
 		snap.Links[i] = l.CheckpointState()
@@ -376,6 +378,31 @@ func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
 	}
 
 	return snap, nil
+}
+
+// renumberProbes renumbers the probe-record table in first-appearance order
+// of the Seq-sorted events. Capture first numbers records in scheduler-arena
+// order, which a restore rearranges; numbering by sequence makes a snapshot
+// taken after a resume byte-identical to the uninterrupted run's.
+func renumberProbes(snap *Snapshot) {
+	if len(snap.ProbeRecs) < 2 {
+		return
+	}
+	// renum[old] is the new index plus one; zero means not yet seen.
+	renum := make([]uint32, len(snap.ProbeRecs))
+	recs := make([]ProbeRec, 0, len(snap.ProbeRecs))
+	for i := range snap.Events {
+		ev := &snap.Events[i]
+		if ev.Kind != EvProbeSend && ev.Kind != EvWindowEnd {
+			continue
+		}
+		if renum[ev.Probe] == 0 {
+			recs = append(recs, snap.ProbeRecs[ev.Probe])
+			renum[ev.Probe] = uint32(len(recs))
+		}
+		ev.Probe = renum[ev.Probe] - 1
+	}
+	snap.ProbeRecs = recs
 }
 
 // Restore overlays a snapshot onto a freshly rebuilt world. The rebuild must

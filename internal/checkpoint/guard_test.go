@@ -72,21 +72,21 @@ var fieldManifest = map[string][]string{
 	"metrics.Counts":            {"ATRAttackPost", "ATRAttackPre", "ATRLegitPost", "ATRLegitPre", "DropAttack", "DropAttackPDT", "DropLegitIllegal", "DropLegitPDT", "DropLegitProbing", "FaultDrops", "QueueDrops", "VictimAttack", "VictimAttackPre", "VictimLegit", "VictimLegitPre"},
 	"netsim.Host":               {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "received", "sent"},
 	"netsim.Link":               {"cfg", "down", "dropped", "faultDrops", "from", "net", "nextFree", "queued", "sent", "to"},
-	"netsim.Network":            {"adj", "adjEntrySlab", "adjMode", "adjSlab", "colEntries", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "hostUsed", "hosts", "ipOwner", "ipSlab", "linkSlab", "linkUsed", "links", "nextNodeID", "nextPktID", "nodes", "pktFree", "resolver", "rng", "routeCols", "routeSlab", "routerSlab", "routerUsed", "routers", "scheduler", "sizeHint", "sparse", "topoVersion"},
+	"netsim.Network":            {"adjEntrySlab", "colEntries", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "hostUsed", "hosts", "ipOwner", "ipSlab", "linkSlab", "linkUsed", "links", "nextNodeID", "nextPktID", "nodes", "pktFree", "resolver", "rng", "routeCols", "routerSlab", "routerUsed", "routers", "scheduler", "sizeHint", "sparse", "topoVersion"},
 	"netsim.Packet":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "pooled"},
-	"netsim.Router":             {"down", "dropped", "faultDrops", "filters", "forwarded", "id", "name", "net", "routeCount", "routes"},
+	"netsim.Router":             {"down", "dropped", "faultDrops", "filters", "forwarded", "id", "name", "net"},
 	"pushback.ATR":              {"Packets", "Router", "Share"},
 	"pushback.Coordinator":      {"active", "activeVictim", "atrScore", "calmEpochs", "cellScratch", "cfg", "eligible", "history", "historyAlpha", "historyOK", "historySeen", "identified", "identifiedATR", "lastEpoch", "lastFireEpoch", "onPushback", "onWithdraw", "pendingRefire", "requestsFired", "shareScratch", "triggerLoad"},
 	"pushback.Request":          {"ATRs", "Epoch", "VictimLoad", "VictimRouter"},
 	"sim.RNG":                   {"cs", "r", "reg"},
-	"sim.Scheduler":             {"backend", "cal", "events", "freeHead", "heap", "now", "processed", "seq", "stopped"},
+	"sim.Scheduler":             {"cal", "events", "freeHead", "now", "processed", "seq", "stopped"},
 	"sim.countingSource":        {"draws", "seed", "src"},
 	"sim.event":                 {"ah", "arg", "at", "fn", "gen", "h", "nextFree", "seq", "state"},
 	"topology.Arena":            {"bystanders", "clients", "extraVictims", "ingress", "ingressOf", "lazy", "names", "route", "routers", "victimHomes", "zombies"},
 	"topology.Domain":           {"Bystanders", "Clients", "ExtraVictims", "Ingress", "LastHop", "Net", "Routers", "Victim", "VictimHomes", "Zombies", "ingressOf"},
 	"topology.lazyRouter":       {"carved", "colFree", "handed", "net", "rs", "seenVersion", "width"},
 	"topology.nameCache":        {"bystanders", "clients", "routers", "victims", "zombies"},
-	"topology.routeScratch":     {"offsets", "parents", "queue", "routerList", "targets"},
+	"topology.routeScratch":     {"offsets", "parents", "queue", "targets"},
 	"traffic.AttackSource":      {"cbr"},
 	"traffic.CBRSource":         {"cfg", "host", "id", "label", "labelHash", "malicious", "net", "proto", "rng", "running", "sendEvent", "sent", "seq"},
 	"traffic.PulsingSource":     {"bursts", "cfg", "end", "host", "id", "inBurst", "label", "labelHash", "net", "phase", "phaseEvent", "rng", "running", "sendEvent", "sent", "seq"},
@@ -101,7 +101,7 @@ var fieldManifest = map[string][]string{
 	"trafficmatrix.Cell":        {"Dest", "Packets", "Source"},
 	"trafficmatrix.Counter":     {"buckets", "dest", "destPkts", "router", "source", "sourcePkts", "transit"},
 	"trafficmatrix.EpochReport": {"DestEst", "End", "Epoch", "Matrix", "Routers", "SourceEst", "Start"},
-	"trafficmatrix.Monitor":     {"buckets", "counterSlab", "counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "fresh", "matrix", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "scratch", "sketchSlab", "srcEst", "stop"},
+	"trafficmatrix.Monitor":     {"counterSlab", "counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "matrix", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "scratch", "sketchSlab", "srcEst", "stop"},
 }
 
 // TestStateCoverageGuard fails whenever a watched struct's field set drifts

@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 
@@ -206,5 +208,42 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 		// A flipped byte may still decode (e.g. inside the scenario JSON);
 		// the requirement is no panic and no unbounded allocation.
 		_, _ = checkpoint.Decode(mut)
+	}
+}
+
+// TestVersion1FixtureRestores resumes a SnapshotVersion-1 snapshot written
+// by an earlier build (table2, quick, at 850 ms). Its embedded scenario
+// still carries the Scheduler, Topology.Routing, Topology.Adjacency,
+// Monitor.MonitorAll and Monitor.FreshBuffers settings that build accepted;
+// they must decode as unknown JSON and the resumed result must equal a
+// plain run of the decoded scenario.
+func TestVersion1FixtureRestores(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot-v1-table2-850ms.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatalf("decode fixture: %v", err)
+	}
+	for _, key := range []string{`"Scheduler"`, `"Routing"`, `"Adjacency"`, `"MonitorAll"`, `"FreshBuffers"`} {
+		if !bytes.Contains(snap.Scenario, []byte(key)) {
+			t.Fatalf("fixture scenario lacks %s; it no longer exercises the removed settings", key)
+		}
+	}
+	var s Scenario
+	if err := json.Unmarshal(snap.Scenario, &s); err != nil {
+		t.Fatalf("decode fixture scenario: %v", err)
+	}
+	want, err := Run(s)
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	got, err := RunFromSnapshot(data)
+	if err != nil {
+		t.Fatalf("resume fixture: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed fixture diverges from a plain run:\n got %+v\nwant %+v", got.Counts, want.Counts)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"mafic/internal/checkpoint"
 	"mafic/internal/sim"
+	"mafic/internal/topology"
 )
 
 // faultWindowCheckpoint is a checkpoint interval whose second multiple,
@@ -54,7 +55,7 @@ func freshSnapshot(t *testing.T, b *builtRun) []byte {
 // returned cleanup aborts the run and recycles the scheduler.
 func startRun(t *testing.T, s Scenario, at sim.Time) (*builtRun, func()) {
 	t.Helper()
-	sched := getScheduler(s.Scheduler)
+	sched := getScheduler()
 	b, err := buildRun(s, nil, sched)
 	if err != nil {
 		putScheduler(sched)
@@ -162,6 +163,53 @@ func TestSnapshotsIndependentOfProcessHistory(t *testing.T) {
 	}
 }
 
+// TestResumedSnapshotsMatchUninterrupted pins that resuming does not change
+// later snapshots: a run resumed from its first or second of seven
+// checkpoints must write every later checkpoint byte-identical to the
+// uninterrupted run's. A restore re-inserts pending events in a different
+// scheduler-arena order, so anything Capture numbers by arena position, such
+// as the probe-record table, shows up here.
+func TestResumedSnapshotsMatchUninterrupted(t *testing.T) {
+	for _, name := range []string{"table2", "rolling-pulse", "flap-core"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			e, ok := LookupScenario(name)
+			if !ok {
+				t.Fatalf("scenario %q not registered", name)
+			}
+			s := Quick(e.Build())
+			every := s.Duration / 8
+			want := snapshotStream(t, s, every)
+			if len(want) != 7 {
+				t.Fatalf("uninterrupted run saved %d snapshots, want 7", len(want))
+			}
+			for from := 0; from < 2; from++ {
+				var got [][]byte
+				_, err := ResumeControlled(want[from], ControlOptions{
+					CheckpointEvery: every,
+					Save: func(_ sim.Time, data []byte) error {
+						got = append(got, data)
+						return nil
+					},
+				})
+				if err != nil {
+					t.Fatalf("resume from snapshot %d: %v", from+1, err)
+				}
+				later := want[from+1:]
+				if len(got) != len(later) {
+					t.Fatalf("resumed from snapshot %d: saved %d snapshots, want %d", from+1, len(got), len(later))
+				}
+				for i := range later {
+					if !bytes.Equal(got[i], later[i]) {
+						t.Errorf("resumed from snapshot %d: snapshot %d differs from the uninterrupted run's",
+							from+1, from+2+i)
+					}
+				}
+			}
+		})
+	}
+}
+
 // strayHandler is an event handler no checkpoint registry knows.
 type strayHandler struct{}
 
@@ -263,7 +311,7 @@ func BenchmarkCaptureEncode(b *testing.B) {
 		b.Fatal("stress-50k not registered")
 	}
 	s := Quick(e.Build())
-	sched := getScheduler(s.Scheduler)
+	sched := getScheduler()
 	defer putScheduler(sched)
 	run, err := buildRun(s, nil, sched)
 	if err != nil {
@@ -282,5 +330,56 @@ func BenchmarkCaptureEncode(b *testing.B) {
 		if _, err := run.snapshot(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeRestore measures the resume side of the same checkpoint:
+// Decode of the stress-50k quick snapshot at t = 100 ms plus Restore onto a
+// freshly rebuilt run, registry build included, as a restart pays it. The
+// rebuild itself is excluded from the timing and the allocation counts.
+//
+//	go test ./internal/experiment -run '^$' -bench DecodeRestore -benchmem
+func BenchmarkDecodeRestore(b *testing.B) {
+	e, ok := LookupScenario("stress-50k")
+	if !ok {
+		b.Fatal("stress-50k not registered")
+	}
+	s := Quick(e.Build())
+	arena := topology.NewArena()
+	sched := getScheduler()
+	run, err := buildRun(s, arena, sched)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sched.RunUntil(100 * sim.Millisecond); err != nil {
+		b.Fatal(err)
+	}
+	data, err := run.snapshot()
+	run.abort()
+	putScheduler(sched)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sched := getScheduler()
+		rebuilt, err := buildRun(s, arena, sched)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		snap, err := checkpoint.Decode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := checkpoint.Restore(rebuilt.world(), snap); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		rebuilt.abort()
+		putScheduler(sched)
+		b.StartTimer()
 	}
 }

@@ -2,184 +2,148 @@ package netsim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"mafic/internal/sim"
 )
 
-// buildAdjNet wires a small random-ish graph in the given mode: a ring of
-// routers with a few chords plus a host hanging off router 0. Reserve is
-// called with the given budget (which tests deliberately under-shoot).
-func buildAdjNet(t *testing.T, mode AdjacencyMode, routers, reserve int) (*Network, []*Router) {
+// refAdjacency is a map-backed adjacency the sparse rows are checked
+// against: every simplex link keyed by its endpoints, with no ordering or
+// slab carving of its own.
+type refAdjacency map[[2]NodeID]*Link
+
+// neighbors returns from's targets in ascending order.
+func (ref refAdjacency) neighbors(from NodeID) []NodeID {
+	var out []NodeID
+	for k := range ref {
+		if k[0] == from {
+			out = append(out, k[1])
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// buildAdjNet wires a small random-ish graph: a ring of routers with a few
+// chords. Reserve is called with the given budget (which tests deliberately
+// under-shoot). It returns the network and a reference holding every link
+// Connect handed out.
+func buildAdjNet(t *testing.T, routers, reserve int) (*Network, []*Router, refAdjacency) {
 	t.Helper()
 	n := New(sim.NewScheduler(), sim.NewRNG(7))
-	if err := n.SetAdjacencyMode(mode); err != nil {
-		t.Fatalf("set mode: %v", err)
-	}
 	n.Reserve(reserve)
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 16}
+	ref := refAdjacency{}
+	connect := func(a, b NodeID) {
+		for _, e := range [][2]NodeID{{a, b}, {b, a}} {
+			l, err := n.Connect(e[0], e[1], cfg)
+			if err != nil {
+				t.Fatalf("connect %v: %v", e, err)
+			}
+			ref[e] = l
+		}
+	}
 	rs := make([]*Router, routers)
 	for i := range rs {
 		rs[i] = n.AddRouter("r")
 	}
 	for i := range rs {
-		if err := n.ConnectDuplex(rs[i].ID(), rs[(i+1)%routers].ID(), cfg); err != nil {
-			t.Fatalf("ring: %v", err)
-		}
+		connect(rs[i].ID(), rs[(i+1)%routers].ID())
 	}
-	// A few chords, inserted out of ascending order so sparse insertion has
-	// to shift within rows.
+	// A few chords, inserted out of ascending order so insertion has to
+	// shift within rows.
 	for _, c := range [][2]int{{0, routers / 2}, {1, routers - 2}, {3, routers/2 + 2}} {
-		if c[0] == c[1] || n.LinkBetween(rs[c[0]].ID(), rs[c[1]].ID()) != nil {
+		if c[0] == c[1] || ref[[2]NodeID{rs[c[0]].ID(), rs[c[1]].ID()}] != nil {
 			continue
 		}
-		if err := n.ConnectDuplex(rs[c[0]].ID(), rs[c[1]].ID(), cfg); err != nil {
-			t.Fatalf("chord: %v", err)
-		}
+		connect(rs[c[0]].ID(), rs[c[1]].ID())
 	}
-	return n, rs
+	return n, rs, ref
 }
 
-// TestSparseDenseAdjacencyEquivalent pins the structural contract behind the
-// sparse default: for every node pair, LinkBetween agrees with the dense
-// oracle (same presence, same endpoints and config), and AppendNeighbors
-// yields the same ascending neighbour lists — the property that keeps BFS
-// tie-breaking, and therefore the whole simulation, bit-identical.
-func TestSparseDenseAdjacencyEquivalent(t *testing.T) {
+// TestSparseAdjacencyMatchesReference pins the structural contract of the
+// sorted adjacency rows: for every node pair (out-of-range IDs included),
+// LinkBetween returns exactly the link the map reference holds, and
+// AppendNeighbors yields the reference's neighbours in ascending order —
+// the property BFS tie-breaking, and therefore the whole simulation,
+// depends on.
+func TestSparseAdjacencyMatchesReference(t *testing.T) {
 	const routers = 24
-	sparse, srs := buildAdjNet(t, AdjacencySparse, routers, routers)
-	dense, drs := buildAdjNet(t, AdjacencyDense, routers, routers)
+	n, rs, ref := buildAdjNet(t, routers, routers)
 
 	for a := 0; a < routers; a++ {
+		from := rs[a].ID()
 		for b := -1; b <= routers; b++ {
-			sl := sparse.LinkBetween(srs[a].ID(), NodeID(b))
-			dl := dense.LinkBetween(drs[a].ID(), NodeID(b))
-			if (sl == nil) != (dl == nil) {
-				t.Fatalf("LinkBetween(%d,%d): sparse %v, dense %v", a, b, sl, dl)
-			}
-			if sl != nil && (sl.From() != dl.From() || sl.To() != dl.To()) {
-				t.Fatalf("LinkBetween(%d,%d): endpoints diverge", a, b)
+			if got, want := n.LinkBetween(from, NodeID(b)), ref[[2]NodeID{from, NodeID(b)}]; got != want {
+				t.Fatalf("LinkBetween(%d,%d) = %v, reference %v", a, b, got, want)
 			}
 		}
-		sn := sparse.Neighbors(srs[a].ID())
-		dn := dense.Neighbors(drs[a].ID())
-		if len(sn) != len(dn) {
-			t.Fatalf("Neighbors(%d): sparse %v, dense %v", a, sn, dn)
+		if got, want := n.Neighbors(from), ref.neighbors(from); !slices.Equal(got, want) {
+			t.Fatalf("Neighbors(%d) = %v, reference %v", a, got, want)
 		}
-		for i := range sn {
-			if sn[i] != dn[i] {
-				t.Fatalf("Neighbors(%d): order diverges at %d: sparse %v, dense %v", a, i, sn, dn)
-			}
-			if i > 0 && sn[i] <= sn[i-1] {
-				t.Fatalf("Neighbors(%d) not ascending: %v", a, sn)
-			}
-		}
-	}
-}
-
-// TestAdjacencyModeFrozenAfterLinks pins that the representation cannot be
-// switched once links exist (the tables are not converted in place).
-func TestAdjacencyModeFrozenAfterLinks(t *testing.T) {
-	n := New(sim.NewScheduler(), sim.NewRNG(1))
-	if err := n.SetAdjacencyMode(AdjacencyDense); err != nil {
-		t.Fatalf("set mode on empty network: %v", err)
-	}
-	if err := n.SetAdjacencyMode(AdjacencyMode(99)); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-	a, b := n.AddRouter("a"), n.AddRouter("b")
-	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 16}
-	if err := n.ConnectDuplex(a.ID(), b.ID(), cfg); err != nil {
-		t.Fatalf("connect: %v", err)
-	}
-	if err := n.SetAdjacencyMode(AdjacencySparse); err == nil {
-		t.Fatal("mode switch accepted after links were added")
-	}
-	if n.AdjacencyMode() != AdjacencyDense {
-		t.Fatalf("mode changed despite error: %v", n.AdjacencyMode())
 	}
 }
 
 // TestCarvingPastReservation is the stale-sizeHint regression test: rows for
-// nodes added after the Reserve budget is exhausted must still come out
-// full-width and slab-carved. The historical carve helpers sized rows at
-// n.sizeHint unconditionally and bailed out to one heap allocation per row
-// the moment a node ID exceeded the stale hint, so each caller had to
-// compensate individually; the alloc pin below fails on that code. The
-// link/route sweep guards the sharper edge of the same bug: a row narrower
-// than the final node count silently missing links or routes for high IDs.
+// nodes added after the Reserve budget is exhausted must still be
+// slab-carved and complete. The historical carve helpers bailed out to one
+// heap allocation per row the moment a node ID exceeded the stale hint; the
+// alloc pin below fails on that code. The link sweep guards the sharper edge
+// of the same bug: a row silently missing links for high IDs.
 func TestCarvingPastReservation(t *testing.T) {
 	const reserve, final = 4, 96
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 16}
 
-	for _, mode := range []AdjacencyMode{AdjacencySparse, AdjacencyDense} {
-		n := New(sim.NewScheduler(), sim.NewRNG(1))
-		if err := n.SetAdjacencyMode(mode); err != nil {
-			t.Fatalf("set mode: %v", err)
+	n := New(sim.NewScheduler(), sim.NewRNG(1))
+	n.Reserve(reserve)
+	rs := make([]*Router, 0, final)
+	for i := 0; i < reserve; i++ {
+		rs = append(rs, n.AddRouter("r"))
+	}
+	// Carve rows at the reserved width before the budget is exhausted.
+	for i := 0; i+1 < reserve; i++ {
+		if err := n.ConnectDuplex(rs[i].ID(), rs[i+1].ID(), cfg); err != nil {
+			t.Fatalf("reserved connect: %v", err)
 		}
-		n.Reserve(reserve)
-		rs := make([]*Router, 0, final)
-		for i := 0; i < reserve; i++ {
-			rs = append(rs, n.AddRouter("r"))
-		}
-		// Carve rows at the reserved width before the budget is exhausted.
-		for i := 0; i+1 < reserve; i++ {
-			if err := n.ConnectDuplex(rs[i].ID(), rs[i+1].ID(), cfg); err != nil {
-				t.Fatalf("%v reserved connect: %v", mode, err)
-			}
-		}
-		rs[0].SetRoute(rs[2].ID(), rs[1].ID())
+	}
 
-		// Exhaust the budget, then wire and route the over-budget routers.
-		for i := reserve; i < final; i++ {
-			rs = append(rs, n.AddRouter("r"))
+	// Exhaust the budget, then wire the over-budget routers.
+	for i := reserve; i < final; i++ {
+		rs = append(rs, n.AddRouter("r"))
+	}
+	// Wiring past the budget is not idempotent, so AllocsPerRun (which
+	// re-runs its body as a warm-up) cannot measure it; count mallocs
+	// around the single pass instead.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := reserve - 1; i+1 < final; i++ {
+		if err := n.ConnectDuplex(rs[i].ID(), rs[i+1].ID(), cfg); err != nil {
+			t.Fatalf("over-budget connect: %v", err)
 		}
-		// Wiring past the budget is not idempotent, so AllocsPerRun (which
-		// re-runs its body as a warm-up) cannot measure it; count mallocs
-		// around the single pass instead.
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := reserve - 1; i+1 < final; i++ {
-			if err := n.ConnectDuplex(rs[i].ID(), rs[i+1].ID(), cfg); err != nil {
-				t.Fatalf("%v over-budget connect: %v", mode, err)
-			}
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	// Rows past the reservation must keep amortizing through the slabs.
+	if allocs > 32 {
+		t.Errorf("over-budget wiring cost %d allocations; rows are not slab-carved", allocs)
+	}
+	for i := 0; i+1 < final; i++ {
+		if n.LinkBetween(rs[i].ID(), rs[i+1].ID()) == nil {
+			t.Fatalf("link %d->%d missing after over-budget growth", i, i+1)
 		}
-		for i := reserve; i < final; i++ {
-			rs[0].SetRoute(rs[i].ID(), rs[1].ID())
-		}
-		runtime.ReadMemStats(&after)
-		allocs := after.Mallocs - before.Mallocs
-		// Rows past the reservation must keep amortizing through the slabs:
-		// the historical helpers allocated one row per over-budget node here
-		// (~180 allocations in dense mode for this sweep).
-		if allocs > 32 {
-			t.Errorf("%v: over-budget wiring cost %d allocations; rows are not slab-carved", mode, allocs)
-		}
-		for i := 0; i+1 < final; i++ {
-			if n.LinkBetween(rs[i].ID(), rs[i+1].ID()) == nil {
-				t.Fatalf("%v: link %d->%d missing after over-budget growth", mode, i, i+1)
-			}
-			if n.LinkBetween(rs[i+1].ID(), rs[i].ID()) == nil {
-				t.Fatalf("%v: link %d->%d missing after over-budget growth", mode, i+1, i)
-			}
-		}
-		for i := reserve; i < final; i++ {
-			if got := rs[0].Route(rs[i].ID()); got != rs[1].ID() {
-				t.Fatalf("%v: route to over-budget router %d = %v, want %v", mode, i, got, rs[1].ID())
-			}
-		}
-		if got := rs[0].Route(rs[2].ID()); got != rs[1].ID() {
-			t.Fatalf("%v: pre-growth route lost: %v", mode, got)
+		if n.LinkBetween(rs[i+1].ID(), rs[i].ID()) == nil {
+			t.Fatalf("link %d->%d missing after over-budget growth", i+1, i)
 		}
 	}
 }
 
 // TestSparseLookupZeroAlloc pins that the per-hop adjacency lookups never
-// allocate in sparse mode: LinkBetween and a buffer-reusing AppendNeighbors
-// both run on the forwarding path.
+// allocate: LinkBetween and a buffer-reusing AppendNeighbors both run on
+// the forwarding path.
 func TestSparseLookupZeroAlloc(t *testing.T) {
-	n, rs := buildAdjNet(t, AdjacencySparse, 24, 24)
+	n, rs, _ := buildAdjNet(t, 24, 24)
 	buf := make([]NodeID, 0, 8)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := range rs {
@@ -193,6 +157,6 @@ func TestSparseLookupZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("sparse per-hop lookups allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("per-hop lookups allocated %.1f times per run, want 0", allocs)
 	}
 }

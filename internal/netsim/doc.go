@@ -21,34 +21,20 @@
 // The node/link graph answers two per-hop questions on the forwarding fast
 // path: LinkBetween (is there a direct link from a to b, and which one) and
 // AppendNeighbors (a's neighbours in ascending ID order, the order BFS route
-// computation depends on). Two interchangeable representations back them:
-//
-//   - AdjacencySparse (the default): one sorted row of (neighbour, link)
-//     entries per node, carved from a shared slab. LinkBetween is a binary
-//     search over the row — simulated degrees are single digits, so the
-//     search is two or three probes — and total adjacency state is
-//     O(nodes + links). A 50000-router domain's adjacency fits in a few
-//     megabytes.
-//   - AdjacencyDense: the historical full row per node, NodeID-indexed, so
-//     LinkBetween is one bounds-checked load. O(nodes²) pointers: ~20 GB at
-//     50000 routers, which is why it is no longer the default. It is kept,
-//     behind Network.SetAdjacencyMode and topology.Config.Adjacency, as the
-//     ordering-and-result oracle — exactly as sim.BackendHeap and
-//     topology.RoutingEager are kept for the scheduler and routing layers.
-//
-// Both representations iterate neighbours in the same ascending order, so
-// BFS tie-breaking — and therefore every simulation result — is bit-identical
-// between them; the catalog-wide equivalence tests in internal/experiment
-// pin that. The mode must be chosen before the first link is connected: rows
-// are not converted in place.
+// computation depends on). Both are served by one sorted row of
+// (neighbour, link) entries per node, carved from a shared slab. LinkBetween
+// is a binary search over the row — simulated degrees are single digits, so
+// the search is two or three probes — and total adjacency state is
+// O(nodes + links). A 50000-router domain's adjacency fits in a few
+// megabytes.
 //
 // # Reservation and slab carving
 //
 // Reserve(nodes) sizes the internal spines and slabs for a known domain size
 // so construction is O(1) allocations per chunk instead of per node. The
 // reservation is a hint, not a cap: nodes added past it stay correct and keep
-// carving from the slabs — row widths are validated against the live node
-// count (see denseRowWidth), never against the stale hint alone.
+// carving from the slabs, whose chunk sizes never trust the hint below the
+// live node count.
 //
 // # Link and router failure
 //
@@ -60,11 +46,9 @@
 // FaultDropped counters) and the packet is recycled through the pool like any
 // other terminal point. Each state flip bumps TopoVersion and invalidates the
 // memoized next-hop columns, and AppendNeighbors skips down links and links
-// into crashed routers while any fault is active — so demand-driven (lazy)
-// routing re-converges around the fault, while eagerly installed static
-// tables intentionally do not (packets on the stale path die at the fault,
-// making eager mode an oracle only for fault-free runs). With every link and
-// router up, none of this exists on the hot path: AppendNeighbors takes the
-// historical loop, no RNG is consulted, nothing allocates, and simulations
-// are bit-identical to builds without the fault layer.
+// into crashed routers while any fault is active — so demand-driven routing
+// re-converges around the fault. With every link and router up, none of this
+// exists on the hot path: AppendNeighbors takes the historical loop, no RNG
+// is consulted, nothing allocates, and simulations are bit-identical to
+// builds without the fault layer.
 package netsim

@@ -255,9 +255,10 @@ func TestFaultStateBumpsTopoVersion(t *testing.T) {
 }
 
 // bfsResolver is a minimal demand-driven column resolver: one BFS from the
-// destination over AppendNeighbors per request. Because it recomputes on
-// every call (the network memoizes), it sees exactly what AppendNeighbors
-// exposes — which is what makes it a fault re-convergence probe.
+// destination over AppendNeighbors per request. The hand-built test networks
+// route through it. Because it recomputes on every call (the network
+// memoizes), it sees exactly what AppendNeighbors exposes — which is what
+// makes it a fault re-convergence probe.
 type bfsResolver struct{ net *Network }
 
 func (r *bfsResolver) NextHopColumn(dest NodeID) []NodeID {

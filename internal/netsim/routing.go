@@ -21,9 +21,7 @@ import "unsafe"
 //     (one reverse BFS in the topology arena) only when its destination first
 //     appears in live traffic, then memoized for the lifetime of the network.
 //
-// Routers still honour next hops installed explicitly via Router.SetRoute
-// (hand-built networks, the eager install path); the column lookup is the
-// fallback when no static entry exists.
+// Hand-built networks install their own RouteResolver.
 type RouteResolver interface {
 	// NextHopColumn returns the next-hop column for dest: a dense
 	// NodeID-indexed table where column[at] is the next hop from node at
@@ -123,29 +121,11 @@ func (n *Network) aggregateOf(dest NodeID) NodeID {
 	if n.nodes[dest].router != nil {
 		return dest
 	}
-	agg := NoNode
-	if n.adjMode == AdjacencySparse {
-		if int(dest) < len(n.sparse) {
-			row := n.sparse[dest]
-			if len(row) > 1 {
-				return dest // multi-homed: own column
-			}
-			if len(row) == 1 {
-				agg = row[0].to
-			}
-		}
-	} else if int(dest) < len(n.adj) {
-		for to, l := range n.adj[dest] {
-			if l == nil {
-				continue
-			}
-			if agg != NoNode {
-				return dest // multi-homed: own column
-			}
-			agg = NodeID(to)
-		}
+	if int(dest) >= len(n.sparse) || len(n.sparse[dest]) != 1 {
+		return dest // unattached or multi-homed: own column
 	}
-	if agg == NoNode || n.nodes[agg].router == nil {
+	agg := n.sparse[dest][0].to
+	if n.nodes[agg].router == nil {
 		return dest
 	}
 	return agg
@@ -162,15 +142,9 @@ func (n *Network) RouteColumns() int { return n.colsMaterialized }
 // re-snapshot instead of serving stale shortest paths.
 func (n *Network) TopoVersion() uint64 { return n.topoVersion }
 
-// RouteStats reports the resident routing state: the total number of
-// next-hop entries held live (materialized demand-driven columns plus any
-// per-router static tables) and the bytes they occupy. Under eager routing
-// this is O(routers × nodes); under demand-driven routing it is
+// RouteStats reports the resident routing state: the number of next-hop
+// entries held in materialized columns and the bytes they occupy,
 // O(active destinations × nodes).
 func (n *Network) RouteStats() (entries int, bytes int64) {
-	entries = n.colEntries
-	for _, r := range n.routers {
-		entries += len(r.routes)
-	}
-	return entries, int64(entries) * int64(unsafe.Sizeof(NoNode))
+	return n.colEntries, int64(n.colEntries) * int64(unsafe.Sizeof(NoNode))
 }

@@ -224,28 +224,26 @@ func TestSchedulerRunUntil(t *testing.T) {
 // which skips cancelled slots but always fires one live event — would then
 // execute an event PAST the deadline, overshooting the clock.
 func TestSchedulerRunUntilCancelledEventDoesNotOvershoot(t *testing.T) {
-	for _, backend := range []Backend{BackendHeap, BackendCalendar} {
-		s := NewSchedulerWith(SchedulerConfig{Backend: backend})
-		fired := false
-		ref := s.ScheduleAt(20, func(Time) { t.Error("cancelled event fired") })
-		s.ScheduleAt(40, func(Time) { fired = true })
-		ref.Cancel()
+	s := NewScheduler()
+	fired := false
+	ref := s.ScheduleAt(20, func(Time) { t.Error("cancelled event fired") })
+	s.ScheduleAt(40, func(Time) { fired = true })
+	ref.Cancel()
 
-		if err := s.RunUntil(30); err != nil {
-			t.Fatalf("backend %v: RunUntil: %v", backend, err)
-		}
-		if fired {
-			t.Fatalf("backend %v: event at t=40 fired during RunUntil(30)", backend)
-		}
-		if s.Now() != 30 {
-			t.Fatalf("backend %v: clock = %v, want 30", backend, s.Now())
-		}
-		if err := s.Run(); err != nil {
-			t.Fatalf("backend %v: Run: %v", backend, err)
-		}
-		if !fired {
-			t.Fatalf("backend %v: event at t=40 lost", backend)
-		}
+	if err := s.RunUntil(30); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if fired {
+		t.Fatalf("event at t=40 fired during RunUntil(30)")
+	}
+	if s.Now() != 30 {
+		t.Fatalf("clock = %v, want 30", s.Now())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !fired {
+		t.Fatalf("event at t=40 lost")
 	}
 }
 

@@ -95,12 +95,9 @@ type routeScratch struct {
 	// current root); NoNode marks unvisited nodes.
 	parents []netsim.NodeID
 	queue   []netsim.NodeID
-	// routerList collects the network's routers once, in id order, so the
-	// per-destination install loop does not consult the router map.
-	routerList []*netsim.Router
 }
 
-// snapshot rebuilds the CSR adjacency and router list from the network.
+// snapshot rebuilds the CSR adjacency from the network.
 // Node IDs are dense (allocation order), so the tables are exactly sized.
 func (rs *routeScratch) snapshot(net *netsim.Network) int {
 	n := net.NodeCount()
@@ -109,13 +106,9 @@ func (rs *routeScratch) snapshot(net *netsim.Network) int {
 	}
 	rs.offsets = rs.offsets[:n+1]
 	rs.targets = rs.targets[:0]
-	rs.routerList = rs.routerList[:0]
 	for id := 0; id < n; id++ {
 		rs.offsets[id] = int32(len(rs.targets))
 		rs.targets = net.AppendNeighbors(rs.targets, netsim.NodeID(id))
-		if r := net.Router(netsim.NodeID(id)); r != nil {
-			rs.routerList = append(rs.routerList, r)
-		}
 	}
 	rs.offsets[n] = int32(len(rs.targets))
 	if cap(rs.parents) < n {
@@ -147,27 +140,6 @@ func (rs *routeScratch) bfs(root netsim.NodeID) {
 		}
 	}
 	rs.queue = queue
-}
-
-// install computes hop-count shortest paths over the full node graph and
-// installs next-hop entries on every router for every destination, identical
-// in outcome to the historical map-based implementation.
-func (rs *routeScratch) install(net *netsim.Network) error {
-	n := rs.snapshot(net)
-	for dest := 0; dest < n; dest++ {
-		destID := netsim.NodeID(dest)
-		rs.bfs(destID)
-		for _, r := range rs.routerList {
-			id := r.ID()
-			if id == destID {
-				continue
-			}
-			if parent := rs.parents[id]; parent != netsim.NoNode {
-				r.SetRoute(destID, parent)
-			}
-		}
-	}
-	return nil
 }
 
 // lazyRouter is the arena's netsim.RouteResolver: the demand-driven half of

@@ -13,20 +13,15 @@ import (
 // structurally identical to a from-scratch build with the same seed: reused
 // backing arrays must never leak state between sweep points.
 func TestArenaReuseMatchesFreshBuild(t *testing.T) {
-	// Eager routing so the route-table comparison below compares real
-	// installed entries; lazy rebuild reuse is pinned by the tests in
-	// lazy_test.go.
 	big := DefaultConfig()
 	big.NumRouters = 48
 	big.ExtraVictims = 3
 	big.MultiHomedVictim = true
-	big.Routing = RoutingEager
 
 	small := DefaultConfig()
 	small.NumRouters = 14
 	small.ExtraChords = 3
 	small.BystanderHosts = 5
-	small.Routing = RoutingEager
 
 	for _, style := range []Style{StyleRing, StyleTransitStub} {
 		arena := NewArena()
@@ -73,7 +68,8 @@ func TestArenaReuseMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("client %d ingress mismatch", i)
 			}
 		}
-		// Every route on every router must match the fresh build.
+		// Every router's next hop toward every node must match the fresh
+		// build.
 		nodes := got.Net.NodeCount()
 		if nodes != want.Net.NodeCount() {
 			t.Fatalf("node count %d != %d", nodes, want.Net.NodeCount())
@@ -81,7 +77,7 @@ func TestArenaReuseMatchesFreshBuild(t *testing.T) {
 		for _, r := range got.Routers {
 			ref := want.Net.Router(r.ID())
 			for dest := 0; dest < nodes; dest++ {
-				if g, w := r.Route(netsim.NodeID(dest)), ref.Route(netsim.NodeID(dest)); g != w {
+				if g, w := got.Net.NextHop(r.ID(), netsim.NodeID(dest)), want.Net.NextHop(ref.ID(), netsim.NodeID(dest)); g != w {
 					t.Fatalf("router %d route to %d: %d != %d (style %v)", r.ID(), dest, g, w, style)
 				}
 			}

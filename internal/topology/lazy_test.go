@@ -1,80 +1,114 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 
 	"mafic/internal/netsim"
 	"mafic/internal/sim"
 )
 
-// lazyEagerPair builds the same configuration twice, once per routing mode,
-// with identical seeds.
-func lazyEagerPair(t *testing.T, cfg Config) (lazy, eager *Domain) {
-	t.Helper()
-	lazyCfg := cfg
-	lazyCfg.Routing = RoutingLazy
-	eagerCfg := cfg
-	eagerCfg.Routing = RoutingEager
-	lazy, err := Build(lazyCfg, sim.NewScheduler(), sim.NewRNG(7))
-	if err != nil {
-		t.Fatalf("lazy build: %v", err)
+// refNextHops is the independent all-pairs reference for the lazy columns:
+// ref[dest][at] is at's next hop toward dest, from one plain BFS per
+// destination over Network.AppendNeighbors (ascending neighbours, FIFO
+// queue), with no CSR snapshot and no host aggregation.
+func refNextHops(net *netsim.Network) [][]netsim.NodeID {
+	n := net.NodeCount()
+	ref := make([][]netsim.NodeID, n)
+	for dest := range ref {
+		parent := make([]netsim.NodeID, n)
+		for i := range parent {
+			parent[i] = netsim.NoNode
+		}
+		parent[dest] = netsim.NodeID(dest)
+		queue := []netsim.NodeID{netsim.NodeID(dest)}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range net.Neighbors(u) {
+				if parent[v] == netsim.NoNode {
+					parent[v] = u
+					queue = append(queue, v)
+				}
+			}
+		}
+		ref[dest] = parent
 	}
-	eager, err = Build(eagerCfg, sim.NewScheduler(), sim.NewRNG(7))
-	if err != nil {
-		t.Fatalf("eager build: %v", err)
-	}
-	return lazy, eager
+	return ref
 }
 
-// effectiveNextHop reproduces the router forwarding decision for a packet at
-// router r addressed to node dest: direct link first, then the static table,
-// then the demand-driven column lookup.
-func effectiveNextHop(net *netsim.Network, r *netsim.Router, dest netsim.NodeID) netsim.NodeID {
-	if net.LinkBetween(r.ID(), dest) != nil {
+// forwardingHop reproduces the router forwarding decision for a packet at
+// router r addressed to node dest: the direct attachment link when dest is a
+// host attached to r, then the demand-driven column lookup.
+func forwardingHop(net *netsim.Network, r *netsim.Router, dest netsim.NodeID) netsim.NodeID {
+	if net.Host(dest) != nil && net.AttachmentLink(r.ID(), dest) != nil {
 		return dest
-	}
-	if next := r.Route(dest); next != netsim.NoNode {
-		return next
 	}
 	return net.NextHop(r.ID(), dest)
 }
 
-// TestLazyForwardingMatchesEager checks the tentpole invariant exhaustively:
-// for every router and every host destination — single-homed, multi-homed
-// victim, extra victims, bystanders — the demand-driven column lookup makes
-// the same forwarding decision the eager all-pairs install would.
-func TestLazyForwardingMatchesEager(t *testing.T) {
+// checkAgainstBFS requires every router's forwarding decision toward every
+// other node to equal the reference BFS parent.
+func checkAgainstBFS(t *testing.T, label string, d *Domain) {
+	t.Helper()
+	ref := refNextHops(d.Net)
+	for _, r := range d.Routers {
+		for dest := range ref {
+			id := netsim.NodeID(dest)
+			if id == r.ID() {
+				continue
+			}
+			if got, want := forwardingHop(d.Net, r, id), ref[dest][r.ID()]; got != want {
+				t.Fatalf("%s: router %d → dest %d: next hop %d, reference BFS %d",
+					label, r.ID(), dest, got, want)
+			}
+		}
+	}
+}
+
+// TestLazyForwardingMatchesBFS checks the routing invariant exhaustively: for
+// every router and every destination — routers, single-homed hosts, the
+// multi-homed victim, extra victims, bystanders — the demand-driven column
+// lookup makes the same forwarding decision as an independent all-pairs
+// BFS, on ring and transit-stub domains, and again after a core link on the
+// victim's path goes down.
+func TestLazyForwardingMatchesBFS(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumRouters = 32
 	cfg.ExtraVictims = 2
-	cfg.MultiHomedVictim = true
+	cfg.BystanderHosts = 4
 
 	for _, style := range []Style{StyleRing, StyleTransitStub} {
-		cfg := cfg
-		cfg.Style = style
-		lazy, eager := lazyEagerPair(t, cfg)
+		for _, multiHomed := range []bool{false, true} {
+			cfg := cfg
+			cfg.Style = style
+			cfg.MultiHomedVictim = multiHomed
+			d, err := Build(cfg, sim.NewScheduler(), sim.NewRNG(7))
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			label := fmt.Sprintf("%v multihomed=%v", style, multiHomed)
+			checkAgainstBFS(t, label, d)
 
-		n := lazy.Net.NodeCount()
-		if n != eager.Net.NodeCount() {
-			t.Fatalf("node counts differ: %d vs %d", n, eager.Net.NodeCount())
-		}
-		for _, lr := range lazy.Routers {
-			er := eager.Net.Router(lr.ID())
-			for dest := 0; dest < n; dest++ {
-				id := netsim.NodeID(dest)
-				if lazy.Net.Host(id) == nil {
-					continue // routers never terminate traffic
-				}
-				if id == lr.ID() {
-					continue
-				}
-				got := effectiveNextHop(lazy.Net, lr, id)
-				want := effectiveNextHop(eager.Net, er, id)
-				if got != want {
-					t.Fatalf("style %v: router %d → dest %d: lazy next hop %d, eager %d",
-						style, lr.ID(), dest, got, want)
+			// Take down the first core link on an ingress router's
+			// multi-hop path to the last hop, in both directions.
+			from, to := netsim.NoNode, netsim.NoNode
+			for _, ing := range d.Ingress {
+				next := d.Net.NextHop(ing.ID(), d.LastHop.ID())
+				if next != netsim.NoNode && next != d.LastHop.ID() {
+					from, to = ing.ID(), next
+					break
 				}
 			}
+			if from == netsim.NoNode {
+				t.Fatalf("%s: no ingress has a multi-hop path to the last hop", label)
+			}
+			d.Net.LinkBetween(from, to).SetDown(true)
+			d.Net.LinkBetween(to, from).SetDown(true)
+			if d.Net.NextHop(from, d.LastHop.ID()) == to {
+				t.Fatalf("%s: route still crosses the down link %d→%d", label, from, to)
+			}
+			checkAgainstBFS(t, label+" link down", d)
 		}
 	}
 }

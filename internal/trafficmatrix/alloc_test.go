@@ -141,15 +141,16 @@ func TestMonitorReuseLeaksNoCounts(t *testing.T) {
 	}
 }
 
-// TestFreshBuffersReportsAreIndependent verifies the FreshBuffers escape
-// hatch: consecutive reports must not share backing arrays.
-func TestFreshBuffersReportsAreIndependent(t *testing.T) {
+// TestClonedReportsAreIndependent verifies the retention rule for pooled
+// reports: clones of consecutive reports must not share backing arrays, and
+// a retained clone keeps its data after later epochs overwrite the pool.
+func TestClonedReportsAreIndependent(t *testing.T) {
 	d := smallDomain(t)
 	d.Victim.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
 
 	var reports []EpochReport
-	mon, err := NewMonitor(d.Net, MonitorConfig{Epoch: 50 * sim.Millisecond, FreshBuffers: true},
-		func(r EpochReport) { reports = append(reports, r) }) // deliberately no Clone
+	mon, err := NewMonitor(d.Net, MonitorConfig{Epoch: 50 * sim.Millisecond},
+		func(r EpochReport) { reports = append(reports, r.Clone()) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestFreshBuffersReportsAreIndependent(t *testing.T) {
 		t.Fatalf("got %d reports, want >= 2", len(reports))
 	}
 	if &reports[0].DestEst[0] == &reports[1].DestEst[0] {
-		t.Fatal("FreshBuffers reports share estimate backing")
+		t.Fatal("cloned reports share estimate backing")
 	}
 	// The first epoch saw the burst; later epochs must still show it even
 	// though newer reports were produced since (no pooled overwrite).

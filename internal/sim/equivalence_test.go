@@ -152,56 +152,62 @@ func TestBackendEquivalence(t *testing.T) {
 // peeking at a far-future event advances the window scan; an event scheduled
 // afterwards at an earlier time must still fire first.
 func TestScanRewindAfterRunUntil(t *testing.T) {
-	s := NewScheduler()
-	var fired []Time
-	record := func(now Time) { fired = append(fired, now) }
-	s.ScheduleAt(10*Second, record)
-	if err := s.RunUntil(1 * Second); err != nil {
-		t.Fatalf("run until: %v", err)
-	}
-	if len(fired) != 0 || s.Now() != 1*Second {
-		t.Fatalf("after RunUntil: fired %v, now %v", fired, s.Now())
-	}
-	s.ScheduleAt(1500*Millisecond, record)
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	want := []Time{1500 * Millisecond, 10 * Second}
-	if len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
+	// The calendar queue is the scheduler's queue.
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		var fired []Time
+		record := func(now Time) { fired = append(fired, now) }
+		s.ScheduleAt(10*Second, record)
+		if err := s.RunUntil(1 * Second); err != nil {
+			t.Fatalf("run until: %v", err)
+		}
+		if len(fired) != 0 || s.Now() != 1*Second {
+			t.Fatalf("after RunUntil: fired %v, now %v", fired, s.Now())
+		}
+		s.ScheduleAt(1500*Millisecond, record)
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		want := []Time{1500 * Millisecond, 10 * Second}
+		if len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	})
 }
 
 // TestResetRecyclesScheduler verifies Reset discards pending events,
 // invalidates outstanding refs, restarts the clock, and leaves the scheduler
 // fully usable.
 func TestResetRecyclesScheduler(t *testing.T) {
-	s := NewScheduler()
-	stale := false
-	ref := s.ScheduleAt(5, func(Time) { stale = true })
-	s.ScheduleAt(1, func(Time) {})
-	if err := s.RunUntil(2); err != nil {
-		t.Fatalf("run until: %v", err)
-	}
+	// The calendar queue is the scheduler's queue.
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		stale := false
+		ref := s.ScheduleAt(5, func(Time) { stale = true })
+		s.ScheduleAt(1, func(Time) {})
+		if err := s.RunUntil(2); err != nil {
+			t.Fatalf("run until: %v", err)
+		}
 
-	s.Reset()
-	if s.Now() != 0 || s.Len() != 0 || s.Processed() != 0 {
-		t.Fatalf("after reset: now %v len %d processed %d", s.Now(), s.Len(), s.Processed())
-	}
-	if ref.Pending() {
-		t.Fatal("ref to discarded event still pending")
-	}
-	ref.Cancel() // must be a detected-stale no-op
+		s.Reset()
+		if s.Now() != 0 || s.Len() != 0 || s.Processed() != 0 {
+			t.Fatalf("after reset: now %v len %d processed %d", s.Now(), s.Len(), s.Processed())
+		}
+		if ref.Pending() {
+			t.Fatal("ref to discarded event still pending")
+		}
+		ref.Cancel() // must be a detected-stale no-op
 
-	fired := false
-	s.ScheduleAt(3, func(Time) { fired = true })
-	if err := s.Run(); err != nil {
-		t.Fatalf("run after reset: %v", err)
-	}
-	if stale {
-		t.Fatal("event discarded by Reset fired anyway")
-	}
-	if !fired || s.Now() != 3 {
-		t.Fatalf("post-reset event: fired %v now %v", fired, s.Now())
-	}
+		fired := false
+		s.ScheduleAt(3, func(Time) { fired = true })
+		if err := s.Run(); err != nil {
+			t.Fatalf("run after reset: %v", err)
+		}
+		if stale {
+			t.Fatal("event discarded by Reset fired anyway")
+		}
+		if !fired || s.Now() != 3 {
+			t.Fatalf("post-reset event: fired %v now %v", fired, s.Now())
+		}
+	})
 }

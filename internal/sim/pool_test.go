@@ -82,63 +82,69 @@ func (h *schedulingHandler) OnEvent(now Time) {
 // calendar queue's first width retune included), an interface-based
 // schedule/fire cycle performs no heap allocation.
 func TestScheduleHandlerSteadyStateDoesNotAllocate(t *testing.T) {
-	s := NewScheduler()
-	// Warm up the arena and queue storage; running past
-	// calRetunePops settles the calendar width for the uniform
-	// spacing the measured loop uses.
-	warm := &schedulingHandler{s: s, left: calRetunePops + 64}
-	s.ScheduleHandlerAt(1, warm)
-	if err := s.Run(); err != nil {
-		t.Fatalf("warmup run: %v", err)
-	}
-
-	h := &schedulingHandler{s: s, left: 1}
-	allocs := testing.AllocsPerRun(100, func() {
-		h.left = 1
-		s.ScheduleHandlerAt(s.Now()+1, h)
+	// The calendar queue is the scheduler's queue.
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		// Warm up the arena and queue storage; running past
+		// calRetunePops settles the calendar width for the uniform
+		// spacing the measured loop uses.
+		warm := &schedulingHandler{s: s, left: calRetunePops + 64}
+		s.ScheduleHandlerAt(1, warm)
 		if err := s.Run(); err != nil {
-			t.Fatalf("run: %v", err)
+			t.Fatalf("warmup run: %v", err)
+		}
+
+		h := &schedulingHandler{s: s, left: 1}
+		allocs := testing.AllocsPerRun(100, func() {
+			h.left = 1
+			s.ScheduleHandlerAt(s.Now()+1, h)
+			if err := s.Run(); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state schedule/fire allocated %.1f times per op", allocs)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state schedule/fire allocated %.1f times per op", allocs)
-	}
 }
 
 // TestOrderingStress verifies the scheduler yields events in (time, FIFO)
 // order under a large interleaved workload.
 func TestOrderingStress(t *testing.T) {
-	s := NewScheduler()
-	rng := NewRNG(42)
-	const n = 5000
+	// The calendar queue is the scheduler's queue.
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		rng := NewRNG(42)
+		const n = 5000
 
-	type stamp struct {
-		at  Time
-		seq int
-	}
-	var fired []stamp
-	for i := 0; i < n; i++ {
-		at := Time(rng.Intn(100))
-		seq := i
-		s.ScheduleAt(at, func(now Time) {
-			fired = append(fired, stamp{at: now, seq: seq})
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(fired) != n {
-		t.Fatalf("fired %d of %d events", len(fired), n)
-	}
-	for i := 1; i < len(fired); i++ {
-		prev, cur := fired[i-1], fired[i]
-		if cur.at < prev.at {
-			t.Fatalf("event %d fired at %v after %v", i, cur.at, prev.at)
+		type stamp struct {
+			at  Time
+			seq int
 		}
-		if cur.at == prev.at && cur.seq < prev.seq {
-			t.Fatalf("FIFO violated at %v: seq %d before %d", cur.at, prev.seq, cur.seq)
+		var fired []stamp
+		for i := 0; i < n; i++ {
+			at := Time(rng.Intn(100))
+			seq := i
+			s.ScheduleAt(at, func(now Time) {
+				fired = append(fired, stamp{at: now, seq: seq})
+			})
 		}
-	}
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if len(fired) != n {
+			t.Fatalf("fired %d of %d events", len(fired), n)
+		}
+		for i := 1; i < len(fired); i++ {
+			prev, cur := fired[i-1], fired[i]
+			if cur.at < prev.at {
+				t.Fatalf("event %d fired at %v after %v", i, cur.at, prev.at)
+			}
+			if cur.at == prev.at && cur.seq < prev.seq {
+				t.Fatalf("FIFO violated at %v: seq %d before %d", cur.at, prev.seq, cur.seq)
+			}
+		}
+	})
 }
 
 // TestArgHandlerPayload verifies ScheduleArgAt delivers the payload pointer
